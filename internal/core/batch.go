@@ -264,10 +264,14 @@ func (w *Worker) applyRunLocked(n *bufferNode, kvs []KV, gen uint64, e uint32, m
 	// duplicates are harmless (recovery dedups by newest timestamp),
 	// and the epoch is re-read inside the lock so the bits below claim
 	// a generation no older than where the records actually live (the
-	// protocol's benign race direction).
+	// protocol's benign race direction). A third case needs the same
+	// cure: a round that flipped the epoch before the group commit can
+	// reach this node after it, copying an older buffered value of a
+	// run key with a tick newer than the batch's record (n.gcTS), which
+	// recovery's newest-tick dedup would then prefer.
 	if !relog {
 		leafTS := w.t.Load(n.leaf.Add(int64(8 * leafTSWord)))
-		relog = leafTS >= minTS
+		relog = leafTS >= minTS || n.gcTS >= minTS
 	}
 	if relog {
 		e = tr.epoch.Load()

@@ -40,6 +40,10 @@ type bufferNode struct {
 	// mutated only under the version locks involved.
 	next atomic.Pointer[bufferNode]
 	prev atomic.Pointer[bufferNode]
+	// gcTS is the newest ORDO tick a locality-aware GC round stamped on
+	// a copy of this node's slots. Read and written only under the
+	// version lock.
+	gcTS uint64
 }
 
 const (

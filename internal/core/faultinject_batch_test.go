@@ -189,3 +189,75 @@ func runBatchCrashPoint(t *testing.T, mode pmem.Mode, gc GCPolicy, point int64) 
 		prev = out[i].Key
 	}
 }
+
+// TestBatchSurvivesGCCopyAfterGroupCommit pins the interleaving behind
+// stale-value resurrection under ApplyBatch + locality-aware GC. A GC
+// round flips the epoch before the batch reads it, and the round's
+// scan reaches the key's buffer node after the group commit stamped
+// its records but before the batch publishes its slot. The round's
+// copy of the old buffered value then carries a newer tick than the
+// batch's record, so the batch must re-log its run; otherwise recovery
+// keeps the copy and the completed write reads back as its
+// predecessor.
+func TestBatchSurvivesGCCopyAfterGroupCommit(t *testing.T) {
+	for name, mode := range map[string]pmem.Mode{"adr": pmem.ADR, "eadr": pmem.EADR} {
+		pool := newTestPool(func(c *pmem.Config) { c.Mode = mode })
+		opts := Options{ChunkBytes: 8 << 10, GC: GCLocalityAware}
+		tr, err := New(pool, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.gcRunning.Store(true) // no background round: this test is the round
+		w := tr.NewWorker(0)
+		const key, oldVal, newVal = 42, 1001, 2002
+		if err := w.Upsert(key, oldVal); err != nil {
+			t.Fatal(err)
+		}
+		_, newE := tr.flipEpoch()
+		gcw := tr.gcWorker()
+		copied := false
+		pool.FailWhen(func(fp pmem.FaultPoint) bool {
+			// Act at the group commit's first record flush; chunk
+			// registration flushes (TagMeta) run under the directory
+			// lock the copy needs.
+			if copied || fp.Tag != pmem.TagWAL {
+				return false
+			}
+			copied = true // the copy's own flushes re-enter here
+			n := tr.findBuffer(gcw.t, key)
+			v, ok := n.tryLock()
+			if !ok {
+				t.Error("buffer node locked during the group commit")
+				return false
+			}
+			if err := gcw.gcCopyLocked(n, newE); err != nil {
+				t.Error(err)
+			}
+			n.unlock(v)
+			return false
+		})
+		if err := w.ApplyBatch([]BatchOp{{Key: key, Value: newVal}}); err != nil {
+			t.Fatal(err)
+		}
+		pool.FailWhen(nil)
+		if !copied {
+			t.Fatal("the batch issued no flush; the GC copy never ran")
+		}
+		if got, ok := w.Lookup(key); !ok || got != newVal {
+			t.Fatalf("%s: before crash: Lookup = (%d,%v), want %d", name, got, ok, newVal)
+		}
+		tr.gcRunning.Store(false)
+		tr.Freeze()
+		pool.Crash()
+		tr2, _, err := Open(pool, opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := tr2.NewWorker(0).Lookup(key)
+		tr2.Freeze()
+		if !ok || got != newVal {
+			t.Fatalf("%s: after recovery: key %d = (%d,%v), want the batch's %d, not the GC copy's %d",
+				name, key, got, ok, newVal, oldVal)
+		}
+	}
+}

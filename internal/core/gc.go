@@ -129,15 +129,7 @@ func (tr *Tree) runLocalityGC() {
 	// ScopeWAL (wal.Append overrides) per the attribution contract.
 	defer w.t.PopScope(w.t.PushScope(pmem.ScopeGC))
 	tr.tracer.Emit(obs.EvGCRound, w.id, w.t.Now(), uint64(tr.ctr.gcRuns.Load()), 0)
-	oldE := tr.epoch.Load()
-	newE := 1 - oldE
-	tr.epoch.Store(newE)
-	// The generation counter moves strictly AFTER the epoch word: a
-	// batch writer that reads epochGen and then epoch (in that order)
-	// and sees the new generation is guaranteed to also see the new
-	// epoch, so its group commit lands in I-logs this round never
-	// reclaims. See Tree.epochGen and Worker.ApplyBatch.
-	tr.epochGen.Add(1)
+	oldE, newE := tr.flipEpoch()
 
 	for n := tr.head; n != nil; {
 		if tr.closed.Load() {
@@ -161,26 +153,12 @@ func (tr *Tree) runLocalityGC() {
 			n = nx
 			continue
 		}
-		pos, eb, _ := unpackHdr(n.hdr.Load())
-		for i := 0; i < pos; i++ {
-			if uint32(eb>>uint(i)&1) == newE {
-				tr.ctr.gcSkippedFresh.Add(1)
-				continue
-			}
-			ts := tr.clock.Now(w.socket)
-			if _, err := w.logs[newE].Append(w.t, wal.Entry{
-				Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: ts,
-			}); err != nil {
-				// Out of PM for the I-log: abort the round; the old
-				// generation stays live and recovery remains correct.
-				n.unlock(v)
-				return
-			}
-			eb = eb&^(1<<uint(i)) | uint16(newE)<<uint(i)
-			tr.logBytes.Add(wal.EntrySize)
-			tr.ctr.gcCopied.Add(1)
+		if err := w.gcCopyLocked(n, newE); err != nil {
+			// Out of PM for the I-log: abort the round; the old
+			// generation stays live and recovery remains correct.
+			n.unlock(v)
+			return
 		}
-		n.hdr.Store(packHdr(pos, eb, false))
 		nx := n.next.Load()
 		n.unlock(v)
 		n = nx
@@ -191,6 +169,49 @@ func (tr *Tree) runLocalityGC() {
 	// merges since the last round become freeable once every reader
 	// pinned at retire time has exited.
 	tr.advanceEpoch()
+}
+
+// flipEpoch starts a locality-aware round by switching the global
+// epoch, returning the old and new generations.
+func (tr *Tree) flipEpoch() (oldE, newE uint32) {
+	oldE = tr.epoch.Load()
+	newE = 1 - oldE
+	tr.epoch.Store(newE)
+	// The generation counter moves strictly AFTER the epoch word: a
+	// batch writer that reads epochGen and then epoch (in that order)
+	// and sees the new generation is guaranteed to also see the new
+	// epoch, so its group commit lands in I-logs this round never
+	// reclaims. See Tree.epochGen and Worker.ApplyBatch.
+	tr.epochGen.Add(1)
+	return oldE, newE
+}
+
+// gcCopyLocked copies n's old-generation slots into the GC worker's
+// newE I-log and restamps their epoch bits. The caller holds n's lock.
+// n.gcTS records the newest tick stamped, so a batch whose group commit
+// predates the copy knows its records no longer win recovery's
+// newest-tick dedup (see applyRunLocked).
+func (w *Worker) gcCopyLocked(n *bufferNode, newE uint32) error {
+	tr := w.tree
+	pos, eb, _ := unpackHdr(n.hdr.Load())
+	for i := 0; i < pos; i++ {
+		if uint32(eb>>uint(i)&1) == newE {
+			tr.ctr.gcSkippedFresh.Add(1)
+			continue
+		}
+		ts := tr.clock.Now(w.socket)
+		if _, err := w.logs[newE].Append(w.t, wal.Entry{
+			Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: ts,
+		}); err != nil {
+			return err
+		}
+		n.gcTS = ts
+		eb = eb&^(1<<uint(i)) | uint16(newE)<<uint(i)
+		tr.logBytes.Add(wal.EntrySize)
+		tr.ctr.gcCopied.Add(1)
+	}
+	n.hdr.Store(packHdr(pos, eb, false))
+	return nil
 }
 
 // runNaiveGC is the strawman (Fig 9a / Fig 14): stop the world, flush

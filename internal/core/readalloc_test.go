@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"cclbtree/internal/pmem"
+)
 
 // TestLookupZeroAlloc gates the lock-free point-read path at zero
 // allocations per op: RCU routing, epoch pin, fingerprint probe and
@@ -52,5 +57,40 @@ func TestScanZeroAllocSteadyState(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state Scan allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestUpsertAllocBound gates the insert path's allocations on
+// BenchmarkInsert's configuration: sequential fresh keys, so the
+// average includes buffer flushes, leaf splits and WAL chunk turnover.
+// The PM model itself contributes nothing (see the pmem zero-alloc
+// gate); what remains is tree structure. check.sh greps the
+// UPSERT_ALLOCS line.
+func TestUpsertAllocBound(t *testing.T) {
+	if raceTestEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const bound = 4
+	pool := pmem.NewPool(pmem.Config{
+		Sockets:              1,
+		DIMMsPerSocket:       2,
+		DeviceBytes:          512 << 20,
+		DisableCrashTracking: true,
+	})
+	tr, err := New(pool, Options{GC: GCOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.NewWorker(0)
+	var k uint64
+	avg := testing.AllocsPerRun(50000, func() {
+		k++
+		if err := w.Upsert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fmt.Printf("UPSERT_ALLOCS allocs_per_op=%.2f bound=%d\n", avg, bound)
+	if avg > bound {
+		t.Fatalf("Upsert allocates %.2f objects/op, want <= %d", avg, bound)
 	}
 }

@@ -11,19 +11,34 @@ const interleaveXPLines = 16
 
 const numShards = 64
 
+// pageBytes is the media allocation unit: a multiple of XPLineSize, so
+// no cacheline or XPLine straddles two pages.
+const (
+	pageBytes    = 64 << 10
+	wordsPerPage = pageBytes / WordSize
+)
+
+// page is one lazily allocated 64 KB span of modeled media.
+type page [wordsPerPage]uint64
+
+// lineImage is the content of one cacheline, passed by value so flush
+// snapshots and crash pre-images never touch the heap.
+type lineImage [wordsPerLine]uint64
+
 // lineEntry tracks one dirty cacheline in the modeled CPU cache. pre is
-// the persistent image to restore on a crash; it is nil when crash
-// tracking is off or the platform is eADR (where the cache itself is
-// persistent).
+// the persistent image to restore on a crash; hasPre is false when
+// crash tracking is off or the platform is eADR (where the cache itself
+// is persistent).
 type lineEntry struct {
-	pre []uint64
+	pre    lineImage
+	hasPre bool
 }
 
 // lineShard stripes the dirty-line table to keep store-path locking
 // cheap under concurrency.
 type lineShard struct {
 	mu    sync.Mutex
-	lines map[uint64]*lineEntry // cacheline index -> entry
+	lines map[uint64]lineEntry // cacheline index -> entry
 }
 
 // dimm models one DIMM: an XPBuffer (write-combining cache of XPLines
@@ -47,11 +62,15 @@ type xpEntry struct {
 	prev, next *xpEntry
 }
 
-// device is one socket's PM: the word array (media + cache view), the
+// device is one socket's PM: the media pages (media + cache view), the
 // dirty-line table, XPLine residency bits, and the DIMM models.
 type device struct {
-	id    int
-	words []uint64
+	id int
+	// pages backs the media sparsely: a page is allocated on its first
+	// write, and a page never written reads as zeros. nWords is the
+	// device capacity in words.
+	pages  []atomic.Pointer[page]
+	nWords uint64
 	// dirtyBits has one bit per cacheline: set iff the line has an
 	// entry in its shard (i.e. is dirty in the modeled CPU cache).
 	dirtyBits []atomic.Uint32
@@ -72,14 +91,15 @@ func newDevice(id int, cfg *Config) *device {
 	nXP := cfg.DeviceBytes / XPLineSize
 	d := &device{
 		id:           id,
-		words:        make([]uint64, nWords),
+		pages:        make([]atomic.Pointer[page], (nWords+wordsPerPage-1)/wordsPerPage),
+		nWords:       uint64(nWords),
 		dirtyBits:    make([]atomic.Uint32, (nLines+31)/32),
 		residentBits: make([]atomic.Uint32, (nXP+31)/32),
 		dimms:        make([]*dimm, cfg.DIMMsPerSocket),
 		cacheCap:     cfg.CacheLines,
 	}
 	for i := range d.shards {
-		d.shards[i].lines = make(map[uint64]*lineEntry)
+		d.shards[i].lines = make(map[uint64]lineEntry)
 	}
 	for i := range d.dimms {
 		d.dimms[i] = &dimm{cap: cfg.XPBufferLines, ent: make(map[uint64]*xpEntry)}
@@ -142,14 +162,55 @@ func (d *device) setResident(xp uint64, v bool) {
 	}
 }
 
-// readLine atomically snapshots the 8 words of a cacheline.
-func (d *device) readLine(line uint64) []uint64 {
-	base := line * wordsPerLine
-	s := make([]uint64, wordsPerLine)
-	for i := range s {
-		s[i] = atomic.LoadUint64(&d.words[base+uint64(i)])
+// loadWord reads word idx; a word in a page never written reads as zero.
+func (d *device) loadWord(idx uint64) uint64 {
+	pg := d.pages[idx/wordsPerPage].Load()
+	if pg == nil {
+		return 0
 	}
-	return s
+	return atomic.LoadUint64(&pg[idx%wordsPerPage])
+}
+
+// storeWord writes word idx, allocating its page on first touch.
+func (d *device) storeWord(idx, v uint64) {
+	atomic.StoreUint64(&d.pageOf(idx)[idx%wordsPerPage], v)
+}
+
+// pageOf returns the page holding word idx, allocating it if needed.
+// Concurrent first writers race on a CAS and all adopt the winner.
+func (d *device) pageOf(idx uint64) *page {
+	slot := &d.pages[idx/wordsPerPage]
+	if pg := slot.Load(); pg != nil {
+		return pg
+	}
+	if fresh := new(page); slot.CompareAndSwap(nil, fresh) {
+		return fresh
+	}
+	return slot.Load()
+}
+
+// readLine atomically snapshots the 8 words of a cacheline.
+func (d *device) readLine(line uint64) (img lineImage) {
+	base := line * wordsPerLine
+	pg := d.pages[base/wordsPerPage].Load()
+	if pg == nil {
+		return img
+	}
+	off := base % wordsPerPage
+	for i := range img {
+		img[i] = atomic.LoadUint64(&pg[off+uint64(i)])
+	}
+	return img
+}
+
+// writeLine stores img over a cacheline (crash rollback).
+func (d *device) writeLine(line uint64, img lineImage) {
+	base := line * wordsPerLine
+	pg := d.pageOf(base)
+	off := base % wordsPerPage
+	for i, w := range img {
+		atomic.StoreUint64(&pg[off+uint64(i)], w)
+	}
 }
 
 // markDirty records a store's cacheline in the CPU-cache model. trackPre
@@ -167,9 +228,9 @@ func (d *device) markDirty(line uint64, trackPre bool) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	e := &lineEntry{}
+	var e lineEntry
 	if trackPre {
-		e.pre = d.readLine(line)
+		e.pre, e.hasPre = d.readLine(line), true
 	}
 	sh.lines[line] = e
 	d.setDirtyBit(line)
@@ -314,17 +375,14 @@ func (d *device) drain(p *Pool) {
 // with a pre-image is restored, the dirty set is cleared. XPBuffer and
 // WPQ contents are inside the ADR power-fail domain and survive (they
 // are accounting-only in this model; the flushed data already lives in
-// words).
+// the media pages).
 func (d *device) crash() {
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
 		for line, e := range sh.lines {
-			if e.pre != nil {
-				base := line * wordsPerLine
-				for j, w := range e.pre {
-					atomic.StoreUint64(&d.words[base+uint64(j)], w)
-				}
+			if e.hasPre {
+				d.writeLine(line, e.pre)
 			}
 			d.clearDirtyBit(line)
 			delete(sh.lines, line)

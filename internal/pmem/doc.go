@@ -37,6 +37,19 @@
 // persistent indexes program real PM (8 B failure-atomic stores) and keeps
 // optimistic concurrency race-free under the Go memory model.
 //
+// # Host-memory layout
+//
+// The media is sparse: each device is a table of 64 KB pages, a page is
+// allocated (by CAS, so racing first writers agree) on the first Store,
+// WriteRange or crash rollback that lands in it, and a page never
+// written reads as zeros without being allocated. LoadPersistent skips
+// zero words bound for unallocated pages, so a reloaded image stays
+// sparse too. A pool's host footprint therefore tracks the PM it has
+// touched, not Config.DeviceBytes. The dirty-line table stores each
+// line's crash pre-image inline as a fixed 64 B array, and flush
+// snapshots travel by value, so the steady-state access and persistence
+// paths allocate nothing. None of this is visible on the virtual clock.
+//
 // # Persistence contract
 //
 // Code using this package must obey the discipline real ADR hardware

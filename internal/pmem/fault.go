@@ -160,21 +160,20 @@ func tornPrefix(seed int64, dev, line uint64) int {
 // pre-image, so a subsequent crash restores a half-written line. Lines
 // already committed (fenced or evicted — fully persistent) and lines
 // without pre-image tracking are left alone.
-func (d *device) tearLine(line uint64, snapshot []uint64, k int) bool {
+func (d *device) tearLine(line uint64, snapshot lineImage, k int) bool {
 	if k <= 0 {
 		return false
 	}
-	if k > len(snapshot) {
-		k = len(snapshot)
-	}
+	k = min(k, len(snapshot))
 	sh := d.shardFor(line)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.lines[line]
-	if !ok || e.pre == nil {
+	if !ok || !e.hasPre {
 		return false
 	}
 	copy(e.pre[:k], snapshot[:k])
+	sh.lines[line] = e
 	return true
 }
 

@@ -245,11 +245,11 @@ func (d *device) persistentWord(idx uint64) uint64 {
 		sh.mu.Lock()
 		e, ok := sh.lines[line]
 		sh.mu.Unlock()
-		if ok && e.pre != nil {
+		if ok && e.hasPre {
 			return e.pre[idx%wordsPerLine]
 		}
 	}
-	return atomic.LoadUint64(&d.words[idx])
+	return d.loadWord(idx)
 }
 
 // SavePersistent serializes the persistent (crash-consistent) image of
@@ -258,16 +258,16 @@ func (d *device) persistentWord(idx uint64) uint64 {
 func (p *Pool) SavePersistent(socket int, w io.Writer) error {
 	d := p.devs[socket]
 	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(d.words)))
+	binary.LittleEndian.PutUint64(hdr[0:], d.nWords)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(p.cfg.Mode))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("pmem: save header: %w", err)
 	}
 	buf := make([]byte, 8<<10)
-	for i := 0; i < len(d.words); {
+	for i := uint64(0); i < d.nWords; {
 		n := 0
-		for ; n < len(buf) && i < len(d.words); n += 8 {
-			binary.LittleEndian.PutUint64(buf[n:], d.persistentWord(uint64(i)))
+		for ; n < len(buf) && i < d.nWords; n += 8 {
+			binary.LittleEndian.PutUint64(buf[n:], d.persistentWord(i))
 			i++
 		}
 		if _, err := w.Write(buf[:n]); err != nil {
@@ -279,7 +279,8 @@ func (p *Pool) SavePersistent(socket int, w io.Writer) error {
 
 // LoadPersistent restores a device image saved by SavePersistent into
 // socket's device. The pool must have been created with at least the
-// saved capacity.
+// saved capacity. Zero words bound for pages never written are skipped,
+// so a sparse image stays sparse in memory.
 func (p *Pool) LoadPersistent(socket int, r io.Reader) error {
 	d := p.devs[socket]
 	var hdr [16]byte
@@ -287,8 +288,8 @@ func (p *Pool) LoadPersistent(socket int, r io.Reader) error {
 		return fmt.Errorf("pmem: load header: %w", err)
 	}
 	n := binary.LittleEndian.Uint64(hdr[0:])
-	if n > uint64(len(d.words)) {
-		return fmt.Errorf("pmem: image has %d words, device holds %d", n, len(d.words))
+	if n > d.nWords {
+		return fmt.Errorf("pmem: image has %d words, device holds %d", n, d.nWords)
 	}
 	buf := make([]byte, 8<<10)
 	for i := uint64(0); i < n; {
@@ -300,7 +301,9 @@ func (p *Pool) LoadPersistent(socket int, r io.Reader) error {
 			return fmt.Errorf("pmem: load body: %w", err)
 		}
 		for off := 0; off < want; off += 8 {
-			atomic.StoreUint64(&d.words[i], binary.LittleEndian.Uint64(buf[off:]))
+			if v := binary.LittleEndian.Uint64(buf[off:]); v != 0 || d.pages[i/wordsPerPage].Load() != nil {
+				d.storeWord(i, v)
+			}
 			i++
 		}
 	}

@@ -8,7 +8,7 @@ import "sync/atomic"
 type pendingFlush struct {
 	dev      *device
 	line     uint64
-	snapshot []uint64
+	snapshot lineImage
 }
 
 // readCacheSize is the per-thread window of recently loaded XPLines
@@ -173,7 +173,7 @@ func (t *Thread) Load(a Addr) uint64 {
 	d := t.dev(a)
 	idx := a.Offset() / WordSize
 	t.chargeLoad(d, idx/wordsPerLine)
-	return atomic.LoadUint64(&d.words[idx])
+	return d.loadWord(idx)
 }
 
 // Store writes the 8-byte word at a. The store is volatile under ADR
@@ -192,7 +192,7 @@ func (t *Thread) Store(a Addr, v uint64) {
 		d.evictOne(t.pool, t)
 	}
 	t.vt += t.pool.cfg.Cost.DRAMAccess
-	atomic.StoreUint64(&d.words[idx], v)
+	d.storeWord(idx, v)
 }
 
 // ReadRange loads len(dst) consecutive words starting at a, charging one
@@ -211,7 +211,7 @@ func (t *Thread) ReadRange(a Addr, dst []uint64) {
 		t.chargeLoad(d, line)
 	}
 	for i := range dst {
-		dst[i] = atomic.LoadUint64(&d.words[idx+uint64(i)])
+		dst[i] = d.loadWord(idx + uint64(i))
 	}
 }
 
@@ -235,7 +235,7 @@ func (t *Thread) WriteRange(a Addr, src []uint64) {
 	}
 	t.vt += t.pool.cfg.Cost.DRAMAccess * int64(last-first+1)
 	for i := range src {
-		atomic.StoreUint64(&d.words[idx+uint64(i)], src[i])
+		d.storeWord(idx+uint64(i), src[i])
 	}
 	for ; evictions > 0; evictions-- {
 		d.evictOne(t.pool, t)
@@ -330,7 +330,7 @@ func (t *Thread) Persist(a Addr, n int) {
 // commitFlush makes snapshot the persistent image of line. If the line
 // still matches the snapshot it becomes clean; otherwise (re-dirtied
 // after the clwb) the snapshot replaces the pre-image.
-func (d *device) commitFlush(line uint64, snapshot []uint64) {
+func (d *device) commitFlush(line uint64, snapshot lineImage) {
 	sh := d.shardFor(line)
 	sh.mu.Lock()
 	e, ok := sh.lines[line]
@@ -338,23 +338,16 @@ func (d *device) commitFlush(line uint64, snapshot []uint64) {
 		sh.mu.Unlock()
 		return // already committed (fence after eviction or double flush)
 	}
-	base := line * wordsPerLine
-	same := true
-	for i, w := range snapshot {
-		if atomic.LoadUint64(&d.words[base+uint64(i)]) != w {
-			same = false
-			break
-		}
-	}
-	if same {
+	if d.readLine(line) == snapshot {
 		delete(sh.lines, line)
 		d.clearDirtyBit(line)
 		sh.mu.Unlock()
 		d.dirtyCount.Add(-1)
 		return
 	}
-	if e.pre != nil {
-		copy(e.pre, snapshot)
+	if e.hasPre {
+		e.pre = snapshot
+		sh.lines[line] = e
 	}
 	sh.mu.Unlock()
 }

@@ -79,6 +79,20 @@ go test -race -run 'TestPublicBatch|TestPublicRange' .
 obs_overhead=$(go test -run TestObsOverheadBudget -count=1 -v ./internal/obs)
 echo "$obs_overhead" | grep OBS_OVERHEAD
 
+# Host-side allocation gates: the PM model's steady-state access and
+# persistence primitives allocate nothing, and Upsert stays within its
+# measured bound (one PMEM_ALLOCS line per primitive, one UPSERT_ALLOCS
+# line; grep proves the tests ran rather than silently skipping).
+pmem_allocs=$(go test -run TestSteadyStateAccessZeroAlloc -count=1 -v ./internal/pmem)
+echo "$pmem_allocs" | grep PMEM_ALLOCS
+upsert_allocs=$(go test -run TestUpsertAllocBound -count=1 -v ./internal/core)
+echo "$upsert_allocs" | grep UPSERT_ALLOCS
+
+# The batched crash sweep on its own, three times: inside a whole-package
+# run, scheduling once hid a GC-vs-batch ordering failure that a
+# stand-alone run showed every time.
+go test -run TestCrashAtEveryFlushBoundaryBatched -count=3 ./internal/core
+
 # Perf-regression tripwire: one ycsbb run at the pinned gate scale,
 # compared against the checked-in baseline (exit 3 = regressed). The
 # planted-regressed baseline must trip the gate — proving the gate can
